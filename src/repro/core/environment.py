@@ -8,22 +8,32 @@ A Gym-like episodic environment over partial mappings:
   the paper notes), then layers 2..n are assigned one by one.
 * **Action** -- a device id (3 actions on HiKey970, one per computing
   component).
-* **Terminal states** -- *winning* when every layer of every DNN is
-  assigned; *losing* when a DNN's pipeline exceeds the stage cap
-  (``x`` = number of computing components), which the paper penalizes
-  to avoid redundant pipeline stages and their data transfers.
+* **Terminal states** -- *losing* when a DNN's pipeline exceeds the
+  stage cap (``x`` = number of computing components), which the paper
+  penalizes to avoid redundant pipeline stages and their data
+  transfers; *winning* when every layer of every DNN is assigned and
+  the state is not losing.  The last decision of an episode can open a
+  cap-breaking stage, so a fully assigned state may still be losing;
+  losing dominates.
 
 Two enforcement modes for the stage cap exist because the ablation
 benches compare them: ``mask_illegal=True`` (default) removes
 cap-violating actions from the legal set, so rollouts always reach a
 winning state; ``False`` reproduces the paper's formulation verbatim,
 where violating actions lead to losing leaves with a static penalty.
+
+A state carries what the rules need to know about it -- the DNN
+receiving the next decision, that row's stage count and whether the
+state is losing -- so :meth:`SchedulingEnv.step` updates them in O(1)
+and every query is a field read.  :meth:`SchedulingEnv.playout` plays
+a whole episode tail on one mutable row, which is how MCTS rollouts
+run: one ``choose`` call per layer and one state at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..sim.mapping import Mapping
 from ..workloads.mix import Workload
@@ -36,6 +46,11 @@ LOSS_REWARD = -1.0
 #: estimator's throughput reward.
 WIN_BONUS = 0.0
 
+#: A playout policy: ``(last, actions) -> action``.  ``last`` is the
+#: device of the current DNN's previous layer (``None`` on its first
+#: layer); ``actions`` are the legal device ids, ``last`` among them.
+ChooseFn = Callable[[Optional[int], Sequence[int]], int]
+
 
 @dataclass(frozen=True)
 class SchedulingState:
@@ -43,10 +58,19 @@ class SchedulingState:
 
     ``assigned`` stores one tuple of device ids per DNN; the DNN under
     construction is the first whose tuple is shorter than its layer
-    count.
+    count.  Identity (equality, hashing, :meth:`key`) is ``assigned``
+    alone.  The other fields are derived from it by the
+    :class:`SchedulingEnv` that built the state: ``dnn`` is the index
+    of the DNN receiving the next decision (``None`` once every layer
+    is assigned), ``stages`` the pipeline stage count of that DNN's row
+    so far (0 when it is empty or ``dnn`` is ``None``), and ``losing``
+    whether some row exceeds the stage cap.
     """
 
     assigned: Tuple[Tuple[int, ...], ...]
+    dnn: Optional[int] = field(compare=False)
+    stages: int = field(compare=False)
+    losing: bool = field(compare=False)
 
     def key(self) -> Tuple[Tuple[int, ...], ...]:
         """Hashable identity of the state (used by tree nodes)."""
@@ -86,13 +110,17 @@ class SchedulingEnv:
             raise ValueError(f"stage_cap must be >= 1, got {self.stage_cap}")
         self.mask_illegal = mask_illegal
         self._layer_counts = tuple(model.num_layers for model in workload.models)
+        self._actions = tuple(range(num_devices))
+        self._stay_only = tuple((device,) for device in range(num_devices))
 
     # ------------------------------------------------------------------
     # Episode protocol
     # ------------------------------------------------------------------
     def reset(self) -> SchedulingState:
         """The empty assignment."""
-        return SchedulingState(tuple(() for _ in self._layer_counts))
+        return SchedulingState(
+            tuple(() for _ in self._layer_counts), self._next_dnn(0), 0, False
+        )
 
     @property
     def total_decisions(self) -> int:
@@ -104,23 +132,18 @@ class SchedulingEnv:
 
     def current_dnn(self, state: SchedulingState) -> Optional[int]:
         """Index of the DNN receiving the next decision (None if done)."""
-        for index, row in enumerate(state.assigned):
-            if len(row) < self._layer_counts[index]:
-                return index
-        return None
+        return state.dnn
 
     def is_complete(self, state: SchedulingState) -> bool:
-        """Winning state: every layer assigned."""
-        return self.current_dnn(state) is None
+        """Winning state: every layer assigned and no stage cap breached."""
+        return state.dnn is None and not state.losing
 
     def is_losing(self, state: SchedulingState) -> bool:
         """Losing state: some DNN exceeds the stage cap."""
-        return any(
-            _stage_count(row) > self.stage_cap for row in state.assigned if row
-        )
+        return state.losing
 
     def is_terminal(self, state: SchedulingState) -> bool:
-        return self.is_complete(state) or self.is_losing(state)
+        return state.dnn is None or state.losing
 
     def legal_actions(self, state: SchedulingState) -> List[int]:
         """Device ids playable from ``state``.
@@ -128,16 +151,7 @@ class SchedulingEnv:
         With masking on, a DNN already at the stage cap may only keep
         extending its current stage (continuing on the same device).
         """
-        dnn = self.current_dnn(state)
-        if dnn is None or self.is_losing(state):
-            return []
-        row = state.assigned[dnn]
-        actions = list(range(self.num_devices))
-        if not self.mask_illegal or not row:
-            return actions
-        if _stage_count(row) >= self.stage_cap:
-            return [row[-1]]
-        return actions
+        return list(self._legal(state))
 
     def step(self, state: SchedulingState, action: int) -> SchedulingState:
         """Assign the next layer of the current DNN to ``action``."""
@@ -145,17 +159,59 @@ class SchedulingEnv:
             raise ValueError(
                 f"action {action} out of range for {self.num_devices} devices"
             )
-        dnn = self.current_dnn(state)
+        dnn = state.dnn
         if dnn is None:
             raise RuntimeError("cannot step a completed episode")
-        if self.mask_illegal and action not in self.legal_actions(state):
+        row = state.assigned[dnn]
+        if self.mask_illegal and action not in self._legal(state):
             raise ValueError(
                 f"action {action} is illegal in this state (stage cap "
                 f"{self.stage_cap})"
             )
+        stages = state.stages if row and row[-1] == action else state.stages + 1
+        losing = state.losing or stages > self.stage_cap
         rows = list(state.assigned)
-        rows[dnn] = rows[dnn] + (action,)
-        return SchedulingState(tuple(rows))
+        rows[dnn] = row + (action,)
+        if len(rows[dnn]) == self._layer_counts[dnn]:
+            dnn, stages = self._next_dnn(dnn + 1), 0
+        return SchedulingState(tuple(rows), dnn, stages, losing)
+
+    def playout(self, state: SchedulingState, choose: ChooseFn) -> SchedulingState:
+        """Play ``state`` to a terminal state, asking ``choose`` per layer.
+
+        Equivalent to ``while not is_terminal(state): state =
+        step(state, choose(last, legal_actions(state)))``, with ``last``
+        the current row's final device (``None`` on an empty row), but
+        extends one mutable row and builds a single state at the end.
+        """
+        cap = self.stage_cap
+        mask = self.mask_illegal
+        everything = self._actions
+        stay_only = self._stay_only
+        rows = list(state.assigned)
+        dnn, stages, losing = state.dnn, state.stages, state.losing
+        while dnn is not None and not losing:
+            row = list(rows[dnn])
+            last = row[-1] if row else None
+            count = self._layer_counts[dnn]
+            for _ in range(count - len(row)):
+                if last is None:
+                    action = choose(None, everything)
+                    stages = 1
+                else:
+                    legal = stay_only[last] if mask and stages >= cap else everything
+                    action = choose(last, legal)
+                    if action != last:
+                        stages += 1
+                row.append(action)
+                last = action
+                if stages > cap:
+                    losing = True
+                    break
+            rows[dnn] = tuple(row)
+            if len(row) == count:
+                dnn, stages = self._next_dnn(dnn + 1), 0
+        return SchedulingState(tuple(rows), dnn, stages, losing)
 
     # ------------------------------------------------------------------
     # Decoding
@@ -163,12 +219,28 @@ class SchedulingEnv:
     def mapping(self, state: SchedulingState) -> Mapping:
         """The complete mapping of a winning state."""
         if not self.is_complete(state):
-            raise ValueError("cannot decode a mapping from an incomplete state")
+            raise ValueError(
+                "cannot decode a mapping from an incomplete or losing state"
+            )
         return Mapping(state.assigned)
 
+    # ------------------------------------------------------------------
+    # Rules
+    # ------------------------------------------------------------------
+    def _next_dnn(self, start: int) -> Optional[int]:
+        """First DNN from ``start`` on that still has layers to assign.
 
-def _stage_count(row: Sequence[int]) -> int:
-    """Pipeline stages of a (possibly partial) assignment row."""
-    if not row:
-        return 0
-    return 1 + sum(1 for a, b in zip(row, row[1:]) if a != b)
+        Rows fill in order, so every row from ``start`` on is empty.
+        """
+        for index in range(start, len(self._layer_counts)):
+            if self._layer_counts[index]:
+                return index
+        return None
+
+    def _legal(self, state: SchedulingState) -> Sequence[int]:
+        """The legal actions as a shared tuple (callers must not mutate)."""
+        if state.dnn is None or state.losing:
+            return ()
+        if self.mask_illegal and state.stages >= self.stage_cap:
+            return self._stay_only[state.assigned[state.dnn][-1]]
+        return self._actions

@@ -471,9 +471,7 @@ class MonteCarloTreeSearch:
             node = self._select(root)
             node = self._expand(node)
             final_state = self._rollout(node.state)
-            # A state can be complete AND losing at once (the very last
-            # decision opens a cap-breaking stage); losing dominates.
-            if env.is_complete(final_state) and not env.is_losing(final_state):
+            if env.is_complete(final_state):
                 mapping = env.mapping(final_state)
                 self._post_virtual_visit(node)
                 if config.use_eval_cache and mapping in cache:
@@ -563,22 +561,24 @@ class MonteCarloTreeSearch:
     # Phases
     # ------------------------------------------------------------------
     def _select(self, node: MCTSNode) -> MCTSNode:
-        """Descend by UCT until a not-fully-expanded or terminal node."""
-        env = self.env
+        """Descend by UCT until a not-fully-expanded or terminal node.
+
+        A terminal state has no legal actions, so its node has nothing
+        untried and no children: the descent stops there by itself.
+        """
         low = self._reward_low if self._reward_low < math.inf else 0.0
         high = self._reward_high if self._reward_high > -math.inf else 1.0
         while node.is_fully_expanded() and node.children:
             node = node.uct_child(self.config.exploration, low, high)
-            if env.is_terminal(node.state):
-                break
         return node
 
     def _expand(self, node: MCTSNode) -> MCTSNode:
         """Attach one untried child.
 
-        No-op on terminal nodes and at the tree-depth cap.
+        No-op on terminal nodes (nothing untried) and at the tree-depth
+        cap.
         """
-        if not node.untried or self.env.is_terminal(node.state):
+        if not node.untried:
             return node
         if self.env.decisions_made(node.state) >= self.config.max_depth:
             return node
@@ -607,20 +607,15 @@ class MonteCarloTreeSearch:
         matching the set-ups the paper's motivational experiment
         samples.
         """
-        env = self.env
+        rng = self.rng
         stay = self.config.rollout_stay_prob
-        while not env.is_terminal(state):
-            actions = env.legal_actions(state)
-            if not actions:
-                break
-            dnn = env.current_dnn(state)
-            row = state.assigned[dnn] if dnn is not None else ()
-            if row and row[-1] in actions and self.rng.random() < stay:
-                action = row[-1]
-            else:
-                action = actions[int(self.rng.integers(len(actions)))]
-            state = env.step(state, action)
-        return state
+
+        def choose(last: Optional[int], actions: Sequence[int]) -> int:
+            if last is not None and rng.random() < stay:
+                return last
+            return actions[int(rng.integers(len(actions)))]
+
+        return self.env.playout(state, choose)
 
     @staticmethod
     def _post_virtual_visit(node: Optional[MCTSNode]) -> None:

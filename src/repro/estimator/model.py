@@ -77,11 +77,15 @@ class ThroughputEstimator:
         use_compiled: bool = True,
     ) -> None:
         self.embedding = embedding
-        self.network = backbone or ResNet9(
-            in_channels=embedding.num_devices,
-            out_features=embedding.num_devices,
-            rng=rng or np.random.default_rng(0),
-        )
+        if backbone is None:
+            # A fresh backbone starts in eval mode, the mode every
+            # query runs in: serving then never toggles modes.
+            backbone = ResNet9(
+                in_channels=embedding.num_devices,
+                out_features=embedding.num_devices,
+                rng=rng or np.random.default_rng(0),
+            ).eval()
+        self.network = backbone
         self.target_transform = target_transform or TargetTransform()
         self.query_count = 0
         self.use_compiled = use_compiled

@@ -189,6 +189,9 @@ class EstimatorTrainer:
             history.train_losses.append(float(np.mean(epoch_losses)))
             history.val_losses.append(self.evaluate(val_split))
         history.wall_time_s = time.perf_counter() - started  # repro: lint-ignore[RPR002] -- host measurement of training wall time
+        # Hand the backbone back in eval mode, the mode every query
+        # runs in, so serving never toggles modes.
+        network.eval()
         # The epochs above mutated the backbone in place; training-mode
         # switches already bump the backbone version, but be explicit:
         # any compiled inference plan snapshot is now stale.

@@ -1,10 +1,11 @@
 """Scheduling environment tests (states, actions, win/lose rules)."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import SchedulingEnv
+from repro.core import MCTSConfig, MonteCarloTreeSearch, SchedulingEnv, SchedulingState
 from repro.workloads import Workload
 
 
@@ -106,6 +107,20 @@ class TestLosingStates:
         assert env.is_terminal(state)
         assert env.legal_actions(state) == []
 
+    def test_last_decision_breaching_cap_is_losing_not_complete(self):
+        env = SchedulingEnv(
+            Workload.from_names(["alexnet", "squeezenet"]), 3, mask_illegal=False
+        )
+        state = env.reset()
+        for action in [0] * 8 + [0] * 15 + [1, 2, 0]:  # 4th stage on the last layer
+            state = env.step(state, action)
+        assert env.current_dnn(state) is None
+        assert env.is_losing(state)
+        assert env.is_terminal(state)
+        assert not env.is_complete(state)
+        with pytest.raises(ValueError, match="losing"):
+            env.mapping(state)
+
     def test_default_cap_is_device_count(self):
         env = SchedulingEnv(Workload.from_names(["alexnet"]), 3)
         assert env.stage_cap == 3
@@ -120,6 +135,7 @@ class TestLosingStates:
 
 class TestStateProperties:
     @given(st.lists(st.integers(0, 2), min_size=26, max_size=26))
+    @example([0] * 8 + [0] * 15 + [1, 2, 0])
     @settings(max_examples=60, deadline=None)
     def test_unmasked_episode_always_terminates_classified(self, actions):
         env = SchedulingEnv(
@@ -136,3 +152,143 @@ class TestStateProperties:
         # A terminal state is either complete or losing, never both.
         if env.is_terminal(state):
             assert env.is_complete(state) != env.is_losing(state)
+
+
+# ----------------------------------------------------------------------
+# Differential oracle: the from-scratch rules the incremental state and
+# the fused playout replaced.
+# ----------------------------------------------------------------------
+def _stage_count(row):
+    """Pipeline stages of a (possibly partial) assignment row."""
+    if not row:
+        return 0
+    return 1 + sum(1 for a, b in zip(row, row[1:]) if a != b)
+
+
+def _derive(env, assigned):
+    """(current DNN, its stage count, losing) recomputed from ``assigned``."""
+    counts = [model.num_layers for model in env.workload.models]
+    dnn = next(
+        (index for index, row in enumerate(assigned) if len(row) < counts[index]),
+        None,
+    )
+    stages = _stage_count(assigned[dnn]) if dnn is not None else 0
+    losing = any(_stage_count(row) > env.stage_cap for row in assigned if row)
+    return dnn, stages, losing
+
+
+def _derive_legal(env, assigned):
+    dnn, _, losing = _derive(env, assigned)
+    if dnn is None or losing:
+        return []
+    row = assigned[dnn]
+    actions = list(range(env.num_devices))
+    if not env.mask_illegal or not row:
+        return actions
+    if _stage_count(row) >= env.stage_cap:
+        return [row[-1]]
+    return actions
+
+
+def _reference_rollout(env, assigned, rng, stay):
+    """The per-step rollout loop, re-deriving the rules at every layer."""
+    while True:
+        dnn, _, losing = _derive(env, assigned)
+        if dnn is None or losing:
+            return assigned
+        actions = _derive_legal(env, assigned)
+        row = assigned[dnn]
+        if row and row[-1] in actions and rng.random() < stay:
+            action = row[-1]
+        else:
+            action = actions[int(rng.integers(len(actions)))]
+        rows = list(assigned)
+        rows[dnn] = row + (action,)
+        assigned = tuple(rows)
+
+
+DIFF_MIX = ["alexnet", "squeezenet", "mobilenet"]
+DIFF_GRID = [
+    (devices, cap, mask)
+    for devices in (3, 4)
+    for cap in (1, 2, 3, 4)
+    for mask in (True, False)
+]
+
+
+def _random_prefix(env, rng, steps):
+    """Step ``env`` from reset by up to ``steps`` random actions.
+
+    Unmasked environments draw from every device, so prefixes reach
+    losing states; every visited state is returned.
+    """
+    state = env.reset()
+    visited = [state]
+    for _ in range(steps):
+        if env.is_terminal(state):
+            break
+        if env.mask_illegal:
+            actions = env.legal_actions(state)
+        else:
+            actions = list(range(env.num_devices))
+        state = env.step(state, actions[int(rng.integers(len(actions)))])
+        visited.append(state)
+    return visited
+
+
+class TestIncrementalStateMatchesOracle:
+    @pytest.mark.parametrize("devices,cap,mask", DIFF_GRID)
+    def test_fields_match_from_scratch_derivation(self, devices, cap, mask):
+        env = SchedulingEnv(
+            Workload.from_names(DIFF_MIX), devices, stage_cap=cap, mask_illegal=mask
+        )
+        rng = np.random.default_rng(devices * 100 + cap * 10 + mask)
+        for _ in range(12):
+            for state in _random_prefix(env, rng, env.total_decisions):
+                dnn, stages, losing = _derive(env, state.assigned)
+                assert (state.dnn, state.stages, state.losing) == (dnn, stages, losing)
+                assert env.current_dnn(state) == dnn
+                assert env.is_losing(state) == losing
+                assert env.is_complete(state) == (dnn is None and not losing)
+                assert env.is_terminal(state) == (dnn is None or losing)
+                assert env.legal_actions(state) == _derive_legal(env, state.assigned)
+
+    def test_identity_ignores_derived_fields(self, small_env):
+        state = small_env.step(small_env.reset(), 1)
+        twin = SchedulingState(state.assigned, None, 7, True)
+        assert twin == state
+        assert hash(twin) == hash(state)
+        assert twin.key() == state.key()
+
+
+class TestFusedPlayoutMatchesReferenceLoop:
+    @pytest.mark.parametrize("devices,cap,mask", DIFF_GRID)
+    @pytest.mark.parametrize("stay", [0.85, 0.0])
+    def test_same_terminal_state_and_rng_stream(self, devices, cap, mask, stay):
+        env = SchedulingEnv(
+            Workload.from_names(DIFF_MIX), devices, stage_cap=cap, mask_illegal=mask
+        )
+        prefix_rng = np.random.default_rng(devices * 100 + cap * 10 + mask)
+        for seed in range(8):
+            visited = _random_prefix(
+                env, prefix_rng, int(prefix_rng.integers(env.total_decisions))
+            )
+            for start in (visited[0], visited[len(visited) // 2], visited[-1]):
+                search = MonteCarloTreeSearch(
+                    env,
+                    lambda mapping: 0.0,
+                    MCTSConfig(seed=seed, rollout_stay_prob=stay),
+                )
+                reference_rng = np.random.default_rng(seed)
+                expected = _reference_rollout(
+                    env, start.assigned, reference_rng, stay
+                )
+                final = search._rollout(start)
+                assert final.assigned == expected
+                assert (final.dnn, final.stages, final.losing) == _derive(
+                    env, expected
+                )
+                assert (
+                    search.rng.bit_generator.state
+                    == reference_rng.bit_generator.state
+                )

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.builder import SystemBuilder
 from repro.estimator import (
     EstimatorDatasetBuilder,
     EstimatorTrainer,
     ThroughputEstimator,
     TrainingHistory,
 )
+from repro.nn.layers import Module
 from repro.workloads import WorkloadGenerator
 
 
@@ -133,3 +135,46 @@ class TestTrainer:
             return trainer.train(dataset, epochs=4, train_size=48, seed=1)
 
         assert run().train_losses == run().train_losses
+
+
+class TestServingModes:
+    """A ready estimator serves in eval mode without toggling modes."""
+
+    @pytest.fixture()
+    def toggles(self, monkeypatch):
+        calls = []
+        for name in ("train", "eval"):
+            original = getattr(Module, name)
+
+            def counted(module, _original=original, _name=name):
+                calls.append(_name)
+                return _original(module)
+
+            monkeypatch.setattr(Module, name, counted)
+        return calls
+
+    @pytest.fixture()
+    def trained(self, dataset, embedding):
+        estimator = ThroughputEstimator(embedding, rng=np.random.default_rng(5))
+        EstimatorTrainer(estimator).train(dataset, epochs=2, train_size=48, seed=1)
+        return estimator
+
+    @pytest.mark.parametrize("use_compiled", [True, False])
+    def test_freshly_trained_estimator_serves_without_toggles(
+        self, trained, dataset, toggles, use_compiled
+    ):
+        trained.use_compiled = use_compiled
+        assert not trained.network.training
+        trained.predict_throughput_batch(list(dataset.pairs[:4]))
+        assert toggles == []
+
+    def test_checkpoint_loaded_estimator_serves_without_toggles(
+        self, trained, dataset, tmp_path, toggles
+    ):
+        path = str(tmp_path / "estimator.npz")
+        trained.save(path)
+        loaded = SystemBuilder(seed=21).from_checkpoint(path).estimator
+        toggles.clear()
+        assert not loaded.network.training
+        loaded.predict_throughput_batch(list(dataset.pairs[:4]))
+        assert toggles == []
