@@ -42,6 +42,7 @@ from . import (
 )
 from .builder import SystemBuilder
 from .core import (
+    InvalidRequest,
     MCTSConfig,
     OmniBoostScheduler,
     ScheduleDecision,
@@ -56,10 +57,8 @@ from .core import (
 )
 from .engine import SchedulingEngine
 from .estimator import (
-    DistilledEstimator,
     EmbeddingSpace,
     EstimatorFault,
-    FastPathPolicy,
     ThroughputEstimator,
 )
 from .evaluation import TimelineReport
@@ -117,18 +116,17 @@ __all__ = [
     "BoardUnresponsiveError",
     "ChaosPlan",
     "Cluster",
-    "DistilledEstimator",
     "ElasticPolicy",
     "EmbeddingSpace",
     "EstimatorFault",
     "FailureEvent",
-    "FastPathPolicy",
     "FaultPlan",
     "FaultSpec",
     "FleetResponse",
     "FleetService",
     "FleetStats",
     "FrontDoorStats",
+    "InvalidRequest",
     "MCTSConfig",
     "MODEL_NAMES",
     "Mapping",

@@ -250,14 +250,10 @@ def _load_mix_file(path: str):
 
 
 def _frontdoor_kwargs(args: argparse.Namespace) -> dict:
-    """Service kwargs of the front-door flags (cache dir, fast path)."""
+    """Service kwargs of the front-door flags (the cache dir)."""
     kwargs = {}
     if getattr(args, "cache_dir", ""):
         kwargs["cache_dir"] = args.cache_dir
-    if getattr(args, "distill", False):
-        from .estimator.distill import FastPathPolicy
-
-        kwargs["fast_path"] = FastPathPolicy()
     return kwargs
 
 
@@ -345,12 +341,6 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         f"{stats.estimator_queries_actual:.0f} estimator queries paid "
         f"of {stats.estimator_queries:.0f} budgeted"
     )
-    if stats.distilled_queries:
-        print(
-            f"fast path: {stats.distilled_queries:.0f} student queries, "
-            f"{stats.distilled_pruned:.0f} candidates pruned before the "
-            "full estimator"
-        )
     return 0
 
 
@@ -800,7 +790,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _add_frontdoor_arguments(parser: argparse.ArgumentParser) -> None:
-    """``--window-size``/``--cache-dir``/``--distill`` flag block."""
+    """``--window-size``/``--cache-dir``/``--frontdoor-report`` flag block."""
     group = parser.add_argument_group("front door")
     group.add_argument(
         "--window-size",
@@ -818,14 +808,6 @@ def _add_frontdoor_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help="persist the decision cache under DIR and reload it on "
         "the next run (invalidated when the estimator weights move)",
-    )
-    group.add_argument(
-        "--distill",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="prune MCTS candidates with the distilled fast-path "
-        "student (--no-distill: every candidate pays the full "
-        "estimator)",
     )
     group.add_argument(
         "--frontdoor-report",

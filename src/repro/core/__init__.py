@@ -1,6 +1,7 @@
 """OmniBoost core: scheduling environment, MCTS and the scheduler facade."""
 
 from .base import (
+    InvalidRequest,
     ScheduleDecision,
     ScheduleRequest,
     ScheduleResponse,
@@ -38,6 +39,7 @@ __all__ = [
     "MCTSResult",
     "MonteCarloTreeSearch",
     "GreedyImprovementScheduler",
+    "InvalidRequest",
     "OmniBoostScheduler",
     "RandomSearchScheduler",
     "SimulatedAnnealingScheduler",

@@ -33,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .objectives import SchedulingObjective
 
 __all__ = [
+    "InvalidRequest",
     "ScheduleDecision",
     "ScheduleRequest",
     "ScheduleResponse",
@@ -163,6 +164,22 @@ class ScheduleRequest:
     def __post_init__(self) -> None:
         if self.budget is not None and self.budget < 1:
             raise ValueError(f"budget override must be >= 1, got {self.budget}")
+
+
+class InvalidRequest(ValueError):
+    """A batch held a request its scheduler cannot answer.
+
+    Raised by ``schedule_many`` before any search starts; ``position``
+    indexes the offending request in the batch, ``request`` is that
+    request and ``reason`` says what is wrong with it.  A front door
+    fails only that request and re-submits the rest.
+    """
+
+    def __init__(self, position: int, request: ScheduleRequest, reason: str) -> None:
+        super().__init__(f"request #{position} ({request.request_id!r}): {reason}")
+        self.position = position
+        self.request = request
+        self.reason = reason
 
 
 @dataclass(frozen=True)

@@ -57,15 +57,10 @@ cold budget — the mechanism :class:`repro.online.OnlineScheduler`
 builds on.
 
 The search itself is agnostic about *where* its rewards come from: it
-maximizes whatever number the evaluation step hands back.  The
-engine's distilled fast path (PR 10) exploits exactly that — under
-:class:`repro.estimator.FastPathPolicy` most rollout leaves are scored
-by the distilled student, calibrated onto the full estimator's reward
-scale, and only the per-batch survivors pay a real forward.  Because
-proxy rewards steer the *tree*, not the final answer, the engine
-re-certifies afterwards: the served mapping is always chosen by full
-estimator scores over the fully-scored candidates, never by a proxy
-number alone.
+maximizes whatever number the evaluation step hands back.
+:func:`relay_steps` tags each yielded micro-batch with its workload —
+the ``(workload, mappings)`` protocol that the engine's pooled drive
+loop and :meth:`repro.online.OnlineScheduler.plan_steps` share.
 """
 
 from __future__ import annotations
@@ -79,7 +74,13 @@ import numpy as np
 from ..sim.mapping import Mapping
 from .environment import LOSS_REWARD, SchedulingEnv, SchedulingState
 
-__all__ = ["MCTSConfig", "MCTSResult", "MCTSNode", "MonteCarloTreeSearch"]
+__all__ = [
+    "MCTSConfig",
+    "MCTSResult",
+    "MCTSNode",
+    "MonteCarloTreeSearch",
+    "relay_steps",
+]
 
 #: An evaluation function: complete mapping -> scalar reward.
 RewardFn = Callable[[Mapping], float]
@@ -669,3 +670,19 @@ class MonteCarloTreeSearch:
                 break
             node = max(trusted, key=lambda child: child.mean_value)
         return node.best_mapping, node.best_reward
+
+
+def relay_steps(workload, steps):
+    """Adapt ``search_steps`` yields to the (workload, mappings) protocol.
+
+    A generator that forwards each micro-batch of ``steps`` as
+    ``(workload, mappings)``, sends the rewards back and returns the
+    search's :class:`MCTSResult`.
+    """
+    try:
+        batch = next(steps)
+        while True:
+            rewards = yield (workload, list(batch))
+            batch = steps.send(rewards)
+    except StopIteration as stop:
+        return stop.value

@@ -31,6 +31,11 @@ The trace-replay loop is split so a fleet can drive it per board:
 :meth:`SchedulingEngine.replay_group` drives a coalesced group of
 staged jobs concurrently (pooled evaluations) and commits the group's
 final decision as the board's warm-start state.
+
+A request's search and a trace event's re-plan are both jobs of one
+protocol: a coroutine yielding ``(workload, mappings)`` evaluation
+requests (``_PooledJob``).  One loop, :meth:`SchedulingEngine._drive`,
+pools and prices them for both ``schedule_many`` and ``replay_group``.
 """
 
 from __future__ import annotations
@@ -44,14 +49,15 @@ import numpy as np
 
 from .baselines.ga import StaticCostModel
 from .builder import OmniBoostSystem, SystemBuilder
-from .core.base import ScheduleDecision, ScheduleRequest, ScheduleResponse, Scheduler
-from .core.mcts import MCTSResult
-from .core.scheduler import OmniBoostScheduler
-from .estimator.distill import (
-    DistilledEstimator,
-    FastPathPolicy,
-    distill_estimator,
+from .core.base import (
+    InvalidRequest,
+    ScheduleDecision,
+    ScheduleRequest,
+    ScheduleResponse,
+    Scheduler,
 )
+from .core.mcts import MCTSResult, relay_steps
+from .core.scheduler import OmniBoostScheduler
 from .estimator.model import EstimatorFault
 from .frontdoor.cache import ShardedDecisionCache, estimator_cache_token
 from .evaluation.timeline import TimelineRecord, TimelineReport
@@ -67,7 +73,6 @@ from .resilience import (
 )
 from .sim.mapping import Mapping
 from .slo import AdmissionController, SLOPolicy, make_estimator_scorer, preemption_victims
-from .workloads.generator import WorkloadGenerator, random_contiguous_mapping
 from .workloads.mix import Workload, canonical_signature
 from .workloads.trace import ArrivalEvent, ArrivalTrace
 
@@ -100,12 +105,6 @@ class ServiceStats:
     #: the estimator actually paid after transposition-cache savings.
     estimator_queries: float = 0.0
     estimator_queries_actual: float = 0.0
-    #: Distilled fast path (:mod:`repro.estimator.distill`): student
-    #: forwards performed, and candidates whose full-estimator forward
-    #: was pruned away (they back up the student's estimate instead).
-    #: Both stay zero without a :class:`FastPathPolicy`.
-    distilled_queries: float = 0.0
-    distilled_pruned: float = 0.0
     #: Per-priority service levels: how many requests (or trace
     #: events) each priority submitted, and their summed host-measured
     #: wait (latency) — the counters that make priority starvation
@@ -225,8 +224,6 @@ class ServiceStats:
         self.pooled_evaluations += other.pooled_evaluations
         self.estimator_queries += other.estimator_queries
         self.estimator_queries_actual += other.estimator_queries_actual
-        self.distilled_queries += other.distilled_queries
-        self.distilled_pruned += other.distilled_pruned
         self.trace_events += other.trace_events
         self.trace_reschedules += other.trace_reschedules
         self.trace_warm_reschedules += other.trace_warm_reschedules
@@ -294,21 +291,42 @@ class ServiceStats:
         return result
 
 
+def _now() -> float:
+    return time.perf_counter()  # repro: lint-ignore[RPR002] -- host measurement of per-request and trace-step latency
+
+
 @dataclass
-class _SearchJob:
+class _PooledJob:
+    """One coroutine in a pooled drive (:meth:`SchedulingEngine._drive`).
+
+    :meth:`open` returns a coroutine that yields ``(workload, mappings)``
+    evaluation requests, takes the matching rewards via ``send()`` and
+    returns its result, which :meth:`finish` stores; ``objective`` is
+    what the rewards are scored with.  :meth:`greedy` answers at the
+    ladder's floor without a coroutine, and :meth:`reset` rewinds a
+    faulted attempt.  The two job kinds differ only inside these
+    methods.
+    """
+
+    started: float = 0.0
+    gen: object = None
+    #: The open evaluation request: (workload, mappings) or None.
+    pending: Optional[Tuple[Workload, List[Mapping]]] = None
+    objective: object = None
+    elapsed: float = 0.0
+
+
+@dataclass(kw_only=True)
+class _SearchJob(_PooledJob):
     """One live MCTS search inside a pooled ``schedule_many`` round."""
 
     request: ScheduleRequest
     index: int
     key: Optional[CacheKey]
-    started: float
-    gen: object = None
-    pending: Optional[List[Mapping]] = None
     result: Optional[MCTSResult] = None
     #: Set instead of ``result`` when the greedy resilience tier
     #: answered without a search.
     decision: Optional[ScheduleDecision] = None
-    elapsed: float = 0.0
     #: Drive priority: the leader's, raised to any follower's — a
     #: high-priority duplicate of a low-priority in-flight mix must
     #: not wait at low priority (classic priority inversion).
@@ -316,36 +334,70 @@ class _SearchJob:
     #: Requests with the same signature arriving after this job was
     #: opened; they reuse its decision as in-flight cache hits.
     followers: List[Tuple[int, ScheduleRequest, float]] = field(default_factory=list)
-    #: Distilled fast path: whether any round of this search pruned
-    #: candidates, and the full-estimator rewards of every candidate
-    #: that *did* reach the full estimator — the certification set the
-    #: final decision is drawn from (the correctness contract).
-    pruned: bool = False
-    #: Full-estimator forwards this job actually paid (survivors plus
-    #: re-certification); replaces the search's own
-    #: ``estimator_queries_actual`` counter for pruned jobs, which
-    #: cannot see that most of its rewards were student proxies.
-    full_forwards: int = 0
-    full_scores: Optional[Dict[Mapping, float]] = None
-    #: Student proxy rewards of candidates whose full forward was
-    #: pruned — the recertification pool (best of them get one full
-    #: batch at certification time).
-    proxy_scores: Optional[Dict[Mapping, float]] = None
+
+    decides = True
+
+    def open(self, scheduler: OmniBoostScheduler):
+        request = self.request
+        # Same fallback as make_search: a request override wins, else
+        # the scheduler's configured objective applies.
+        self.objective = (
+            request.objective
+            if request.objective is not None
+            else scheduler.objective
+        )
+        search = scheduler.make_search(
+            request.workload,
+            config=scheduler.request_config(request),
+            objective=request.objective,
+        )
+        return relay_steps(request.workload, search.search_steps())
+
+    def finish(self, result: MCTSResult) -> None:
+        self.result = result
+
+    def greedy(self, decide) -> None:
+        self.decision = decide(self.request.workload)
+        self.elapsed = _now() - self.started
+
+    def reset(self) -> None:
+        self.gen = self.pending = self.result = self.decision = None
 
 
-@dataclass
-class _TraceJob:
+@dataclass(kw_only=True)
+class _TraceJob(_PooledJob):
     """One trace event's re-planning inside a coalesced group."""
 
     event: ArrivalEvent
     workload: Optional[Workload]
-    started: float = 0.0
-    gen: object = None
-    #: The open evaluation request: (workload, mappings) or None.
-    pending: Optional[List[Mapping]] = None
-    pending_workload: Optional[Workload] = None
+    online: OnlineScheduler
     outcome: Optional[OnlineDecision] = None
-    elapsed: float = 0.0
+
+    @property
+    def decides(self) -> bool:
+        return self.workload is not None
+
+    def open(self, scheduler: OmniBoostScheduler):
+        self.started = _now()
+        self.objective = scheduler.objective
+        if self.workload is None:
+            return None  # board emptied: idle event, nothing to plan
+        return self.online.plan_steps(self.workload)
+
+    def finish(self, outcome: OnlineDecision) -> None:
+        self.outcome = outcome
+
+    def greedy(self, decide) -> None:
+        self.started = _now()
+        if self.workload is None:
+            return  # board emptied: idle event, nothing to place
+        self.outcome = OnlineDecision(
+            decision=decide(self.workload), workload=self.workload, mode="greedy"
+        )
+        self.elapsed = _now() - self.started
+
+    def reset(self) -> None:
+        self.gen = self.pending = self.outcome = None
 
 
 class SchedulingEngine:
@@ -383,11 +435,6 @@ class SchedulingEngine:
         keeps the cache in-memory only.  Snapshots are keyed by the
         estimator's ``Module.version`` plus a weight digest, so a
         retrained/re-loaded estimator never serves stale decisions.
-    fast_path:
-        Optional :class:`~repro.estimator.distill.FastPathPolicy`
-        arming the distilled pruning fast path.  ``None`` — the
-        default — keeps every search exact and byte-identical to an
-        engine built before the fast path existed.
     """
 
     def __init__(
@@ -400,7 +447,6 @@ class SchedulingEngine:
         cache_shards: int = 4,
         cache_capacity: int = 128,
         cache_dir: Optional[str] = None,
-        fast_path: Optional[FastPathPolicy] = None,
     ) -> None:
         if isinstance(source, SystemBuilder):
             self._builder: Optional[SystemBuilder] = source
@@ -422,8 +468,6 @@ class SchedulingEngine:
             shard_capacity=cache_capacity,
             cache_dir=cache_dir,
         )
-        self.fast_path = fast_path
-        self._student: Optional[DistilledEstimator] = None
         self._cache_token: Optional[Tuple[int, str]] = None
         self._stats = ServiceStats()
         self.resilience = resilience
@@ -468,13 +512,14 @@ class SchedulingEngine:
             return []
         responses: List[Optional[ScheduleResponse]] = [None] * len(normalized)
         scheduler = self._scheduler_instance()
+        self._validate(scheduler, normalized)
         pooling = isinstance(scheduler, OmniBoostScheduler)
 
         jobs: List[_SearchJob] = []
         open_jobs: Dict[CacheKey, _SearchJob] = {}
         for i in range(len(normalized)):
             request = normalized[i]
-            started = time.perf_counter()  # repro: lint-ignore[RPR002] -- host measurement of per-request latency
+            started = _now()
             key = self._cache_key(request)
             if key is None:
                 self._stats.cache_bypasses += 1
@@ -522,27 +567,13 @@ class SchedulingEngine:
 
         if jobs:
             jobs.sort(key=lambda job: (-job.priority, job.index))
-            self._resilient_drive(scheduler, None, jobs, kind="search")
+            self._resilient_drive(scheduler, jobs)
             for job in jobs:
                 if job.decision is not None:
                     decision = job.decision
                 else:
                     decision = scheduler.decision_from_result(
                         job.result, int(job.result.cache_misses)
-                    )
-                if job.pruned:
-                    # The search's own "actual" counter believes every
-                    # rollout reward was an estimator forward; for a
-                    # pruned job only the survivors (and the
-                    # certification batch) really paid one.
-                    decision = replace(
-                        decision,
-                        cost={
-                            **decision.cost,
-                            "estimator_queries_actual": float(
-                                job.full_forwards
-                            ),
-                        },
                     )
                 decision = replace(decision, wall_time_s=job.elapsed)
                 self._account(decision)
@@ -891,7 +922,9 @@ class SchedulingEngine:
         """Fold one event into the tenancy and stage its re-planning job."""
         online_scheduler.apply(event)
         return _TraceJob(
-            event=event, workload=online_scheduler.current_workload()
+            event=event,
+            workload=online_scheduler.current_workload(),
+            online=online_scheduler,
         )
 
     def replay_group(
@@ -908,10 +941,7 @@ class SchedulingEngine:
         Returns the group's timeline records (indices starting at
         ``start_index``).
         """
-        scheduler = self._scheduler_instance()
-        tier = self._resilient_drive(
-            scheduler, online_scheduler, jobs, kind="trace"
-        )
+        tier = self._resilient_drive(self._scheduler_instance(), jobs)
         committed = None
         records: List[TimelineRecord] = []
         index = start_index
@@ -1152,18 +1182,12 @@ class SchedulingEngine:
     # ------------------------------------------------------------------
     # Degradation ladder (resilient pooled driving)
     # ------------------------------------------------------------------
-    def _resilient_drive(
-        self,
-        scheduler: Scheduler,
-        online_scheduler: Optional[OnlineScheduler],
-        jobs: List,
-        kind: str,
-    ) -> str:
+    def _resilient_drive(self, scheduler: Scheduler, jobs: List[_PooledJob]) -> str:
         """Run one pooled drive under the degradation ladder.
 
         Without a :class:`~repro.resilience.ResiliencePolicy` this is a
-        straight call into the historical drive loop — byte-identical
-        behaviour.  With one, a drive that dies with a typed fault
+        straight call into :meth:`_drive` — byte-identical behaviour.
+        With one, a drive that dies with a typed fault
         (:class:`~repro.estimator.model.EstimatorFault` /
         :class:`~repro.nn.inference.PlanExecutionError`) is counted,
         stepped down, and *retried from scratch* at the new tier — the
@@ -1173,25 +1197,16 @@ class SchedulingEngine:
         produced the decisions, ``""`` for the healthy top tier.
         """
         if self._ladder is None:
-            if kind == "search":
-                self._drive_pooled(scheduler, jobs)
-            else:
-                self._drive_trace_jobs(scheduler, online_scheduler, jobs)
+            self._drive(scheduler, jobs)
             return ""
         estimator = getattr(scheduler, "estimator", None)
-        decisions = (
-            len(jobs)
-            if kind == "search"
-            else sum(1 for job in jobs if job.workload is not None)
-        )
+        decisions = sum(1 for job in jobs if job.decides)
         while True:
             tier = self._ladder.begin_attempt()
             try:
                 if tier == "greedy":
-                    if kind == "search":
-                        self._greedy_search_jobs(jobs)
-                    else:
-                        self._greedy_trace_jobs(jobs)
+                    for job in jobs:
+                        job.greedy(self._greedy_decision)
                 else:
                     saved = None
                     if estimator is not None and tier == "interpreter":
@@ -1199,12 +1214,7 @@ class SchedulingEngine:
                         estimator.use_compiled = False
                     self._active_tier = tier
                     try:
-                        if kind == "search":
-                            self._drive_pooled(scheduler, jobs)
-                        else:
-                            self._drive_trace_jobs(
-                                scheduler, online_scheduler, jobs
-                            )
+                        self._drive(scheduler, jobs)
                     finally:
                         self._active_tier = ""
                         if saved is not None:
@@ -1212,10 +1222,8 @@ class SchedulingEngine:
             except (EstimatorFault, PlanExecutionError):
                 self._stats.faults_detected += 1
                 self._ladder.record_fault()
-                if kind == "search":
-                    self._reset_search_jobs(jobs)
-                else:
-                    self._reset_trace_jobs(jobs)
+                for job in jobs:
+                    job.reset()
                 continue
             self._ladder.complete_attempt(decisions)
             if tier == TIERS[0]:
@@ -1294,305 +1302,58 @@ class SchedulingEngine:
             },
         )
 
-    def _greedy_search_jobs(self, jobs: List[_SearchJob]) -> None:
-        for job in jobs:
-            job.decision = self._greedy_decision(job.request.workload)
-            job.elapsed = time.perf_counter() - job.started  # repro: lint-ignore[RPR002] -- host measurement of per-request latency
-
-    def _greedy_trace_jobs(self, jobs: List[_TraceJob]) -> None:
-        for job in jobs:
-            job.started = time.perf_counter()  # repro: lint-ignore[RPR002] -- host measurement of trace-step latency
-            if job.workload is None:
-                continue  # board emptied: idle event, nothing to place
-            decision = self._greedy_decision(job.workload)
-            job.outcome = OnlineDecision(
-                decision=decision, workload=job.workload, mode="greedy"
-            )
-            job.elapsed = time.perf_counter() - job.started  # repro: lint-ignore[RPR002] -- host measurement of trace-step latency
-
-    @staticmethod
-    def _reset_search_jobs(jobs: List[_SearchJob]) -> None:
-        """Rewind faulted searches so the next tier retries from scratch."""
-        for job in jobs:
-            job.gen = None
-            job.pending = None
-            job.result = None
-            job.decision = None
-            job.pruned = False
-            job.full_scores = None
-            job.proxy_scores = None
-
-    @staticmethod
-    def _reset_trace_jobs(jobs: List[_TraceJob]) -> None:
-        for job in jobs:
-            job.gen = None
-            job.pending = None
-            job.pending_workload = None
-            job.outcome = None
-
     # ------------------------------------------------------------------
     # Pooled concurrent search
     # ------------------------------------------------------------------
-    def _drive_pooled(
-        self, scheduler: OmniBoostScheduler, jobs: List[_SearchJob]
-    ) -> None:
-        """Advance every job's search, pooling leaf evaluations.
+    def _drive(self, scheduler: OmniBoostScheduler, jobs: List[_PooledJob]) -> None:
+        """Advance every job's coroutine, pooling their evaluations.
 
-        Each round collects the open micro-batches of all searches
-        still waiting on rewards, prices them in ONE
-        ``predict_throughput_batch`` call, and feeds each search its
-        slice.  Per-search cadence, reward values and trajectories are
-        identical to running the searches one at a time (see the
-        module docstring for why).
-        """
-        estimator = scheduler.estimator
-        prune = self._fast_path_active()
-        student = self._student_instance(estimator) if prune else None
-        for job in jobs:
-            config = scheduler.request_config(job.request)
-            job_objective = (
-                job.request.objective
-                if job.request.objective is not None
-                else scheduler.objective
-            )
-            if prune and job_objective is None:
-                # The fast path ranks within rollout micro-batches; at
-                # the default eval_batch_size=1 there is nothing to
-                # rank, so the policy widens the batch — and multiplies
-                # the candidate budget, spending the full forwards it
-                # saves on a much wider search (student forwards are
-                # ~free).  Only when this job will actually prune: a
-                # degraded-tier retry or an objective-scored request
-                # (which the student cannot rank) falls back to the
-                # exact default search, which would otherwise pay the
-                # widened budget in full forwards.
-                config = replace(
-                    config,
-                    eval_batch_size=max(
-                        config.eval_batch_size, self.fast_path.eval_batch_size
-                    ),
-                    budget=config.budget * self.fast_path.explore_factor,
-                )
-            search = scheduler.make_search(
-                job.request.workload,
-                config=config,
-                objective=job.request.objective,
-            )
-            job.gen = search.search_steps()
-            job.full_scores = {} if prune else None
-            job.proxy_scores = {} if prune else None
-            self._advance(job, first=True)
-
-        while True:
-            waiting = [job for job in jobs if job.pending is not None]
-            if not waiting:
-                break
-            # Per-job candidate selection: pruning ranks only within a
-            # job's own micro-batch, never across the pool — otherwise
-            # a decision would depend on which other requests share the
-            # batch, breaking the pooled == sequential contract.
-            rounds = []
-            pooled_pairs: List[Tuple[Workload, Mapping]] = []
-            for job in waiting:
-                workload = job.request.workload
-                # Same fallback as make_search: a request override wins,
-                # else the scheduler's configured objective applies.
-                objective = (
-                    job.request.objective
-                    if job.request.objective is not None
-                    else scheduler.objective
-                )
-                mappings = job.pending
-                proxy = None
-                # Exact mode for objective-scored requests: the student
-                # ranks the paper's mean-throughput reward, and an
-                # explicit objective may order candidates differently.
-                keep = (
-                    self.fast_path.keep_count(len(mappings))
-                    if student is not None and objective is None
-                    else len(mappings)
-                )
-                if keep < len(mappings):
-                    proxy = student.score_candidates(workload, mappings)
-                    self._stats.distilled_queries += len(mappings)
-                    ranked = sorted(
-                        range(len(mappings)),
-                        key=lambda i: (-proxy[i], i),
-                    )
-                    survivors = sorted(ranked[:keep])
-                    self._stats.distilled_pruned += len(mappings) - keep
-                    job.pruned = True
-                else:
-                    survivors = list(range(len(mappings)))
-                rounds.append((job, objective, mappings, proxy, survivors))
-                pooled_pairs.extend(
-                    (workload, mappings[i]) for i in survivors
-                )
-            rows = self._evaluate_pairs(estimator, pooled_pairs)
-            self._stats.pooled_eval_batches += 1
-            self._stats.pooled_evaluations += len(pooled_pairs)
-            offset = 0
-            for job, objective, mappings, proxy, survivors in rounds:
-                count = len(survivors)
-                slice_rows = rows[offset : offset + count]
-                offset += count
-                job.full_forwards += count
-                kept = [mappings[i] for i in survivors]
-                full_rewards = scheduler.reward_from_predictions(
-                    job.request.workload, kept, slice_rows, objective
-                )
-                if proxy is None:
-                    rewards = list(full_rewards)
-                else:
-                    # Survivors back up their full-estimator reward;
-                    # pruned candidates back up the student's centered
-                    # score, calibrated onto the reward scale with the
-                    # survivors as anchors (the student only predicts
-                    # within-batch deviations — see its docstring).
-                    scale = student.reward_scale
-                    anchor = sum(full_rewards) / len(full_rewards)
-                    surv_mean = float(
-                        np.mean([proxy[i] for i in survivors])
-                    )
-                    rewards = [
-                        anchor + scale * (float(p) - surv_mean)
-                        for p in proxy
-                    ]
-                    for index, reward in zip(survivors, full_rewards):
-                        rewards[index] = reward
-                    cut = set(survivors)
-                    for i, mapping in enumerate(mappings):
-                        if i not in cut:
-                            job.proxy_scores[mapping] = rewards[i]
-                if job.full_scores is not None:
-                    for mapping, reward in zip(kept, full_rewards):
-                        job.full_scores[mapping] = float(reward)
-                self._advance(job, rewards=rewards)
-
-        if prune:
-            self._certify_pruned_jobs(scheduler, estimator, jobs)
-
-    def _certify_pruned_jobs(
-        self,
-        scheduler: OmniBoostScheduler,
-        estimator,
-        jobs: List[_SearchJob],
-    ) -> None:
-        """Enforce the fast-path contract on every pruned search.
-
-        The final chosen mapping's score always comes from the full
-        estimator: a search pick that only ever carried a student
-        proxy score is re-certified with one full forward, and if any
-        *fully-scored* candidate seen during the search beats the
-        pick's full score, that incumbent is served instead.  The
-        student therefore only ever decides evaluation order — never
-        the served mapping's score, and never a score downgrade.
-        """
-        for job in jobs:
-            if job.result is None or not job.pruned:
-                continue
-            workload = job.request.workload
-            objective = (
-                job.request.objective
-                if job.request.objective is not None
-                else scheduler.objective
-            )
-            chosen = job.result.mapping
-            recertify = [
-                mapping
-                for mapping in sorted(
-                    job.proxy_scores,
-                    key=job.proxy_scores.__getitem__,
-                    reverse=True,
-                )[: self.fast_path.recertify]
-                if mapping not in job.full_scores
-            ]
-            if chosen not in job.full_scores and chosen not in recertify:
-                recertify.append(chosen)
-            if recertify:
-                job.full_forwards += len(recertify)
-                rows = self._evaluate_pairs(
-                    estimator,
-                    [(workload, mapping) for mapping in recertify],
-                )
-                rewards = scheduler.reward_from_predictions(
-                    workload, recertify, rows, objective
-                )
-                for mapping, reward in zip(recertify, rewards):
-                    job.full_scores[mapping] = float(reward)
-            full = job.full_scores[chosen]
-            best_mapping, best_reward = chosen, full
-            for mapping, reward in job.full_scores.items():
-                if reward > best_reward:
-                    best_mapping, best_reward = mapping, reward
-            if best_mapping is not chosen or best_reward != job.result.reward:
-                job.result = replace(
-                    job.result, mapping=best_mapping, reward=best_reward
-                )
-
-    def _drive_trace_jobs(
-        self,
-        scheduler: OmniBoostScheduler,
-        online_scheduler: OnlineScheduler,
-        jobs: List[_TraceJob],
-    ) -> None:
-        """Drive a coalesced group's re-planning coroutines together.
-
-        The same pooling loop as :meth:`_drive_pooled`, over
-        :meth:`~repro.online.OnlineScheduler.plan_steps` coroutines
-        (whose yields carry their own workload, since each event in
-        the group plans a different mix).
+        Each round collects the open ``(workload, mappings)`` requests
+        of all jobs still waiting on rewards, prices them in ONE
+        :meth:`_evaluate_pairs` call, and feeds each job its slice.
+        Per-job cadence, reward values and trajectories are identical
+        to running the jobs one at a time (see the module docstring
+        for why).
         """
         estimator = scheduler.estimator
         for job in jobs:
-            job.started = time.perf_counter()  # repro: lint-ignore[RPR002] -- host measurement of trace-step latency
-            if job.workload is None:
-                continue  # board emptied: idle event, nothing to plan
-            job.gen = online_scheduler.plan_steps(job.workload)
-            self._advance_trace(job, first=True)
+            job.gen = job.open(scheduler)
+            if job.gen is not None:
+                self._advance(job, None)
         while True:
             waiting = [job for job in jobs if job.pending is not None]
             if not waiting:
                 break
             pairs = [
-                (job.pending_workload, mapping)
-                for job in waiting
-                for mapping in job.pending
+                (workload, mapping)
+                for workload, mappings in (job.pending for job in waiting)
+                for mapping in mappings
             ]
             rows = self._evaluate_pairs(estimator, pairs)
             self._stats.pooled_eval_batches += 1
             self._stats.pooled_evaluations += len(pairs)
             offset = 0
             for job in waiting:
-                count = len(job.pending)
-                slice_rows = rows[offset : offset + count]
-                offset += count
+                workload, mappings = job.pending
+                count = len(mappings)
                 rewards = scheduler.reward_from_predictions(
-                    job.pending_workload,
-                    job.pending,
-                    slice_rows,
-                    scheduler.objective,
+                    workload,
+                    mappings,
+                    rows[offset : offset + count],
+                    job.objective,
                 )
-                self._advance_trace(job, rewards=rewards)
+                offset += count
+                self._advance(job, rewards)
 
     @staticmethod
-    def _advance_trace(
-        job: _TraceJob,
-        rewards: Optional[List[float]] = None,
-        first: bool = False,
-    ) -> None:
-        """Step one plan coroutine to its next yield (or completion)."""
+    def _advance(job: _PooledJob, rewards: Optional[List[float]]) -> None:
+        """Step one job's coroutine to its next yield (or completion)."""
         try:
-            if first:
-                request = next(job.gen)
-            else:
-                request = job.gen.send(rewards)
-            job.pending_workload, job.pending = request
+            job.pending = job.gen.send(rewards)
         except StopIteration as stop:
             job.pending = None
-            job.pending_workload = None
-            job.outcome = stop.value
-            job.elapsed = time.perf_counter() - job.started  # repro: lint-ignore[RPR002] -- host measurement of trace-step latency
+            job.finish(stop.value)
+            job.elapsed = _now() - job.started
 
     def _trace_record(
         self,
@@ -1603,31 +1364,25 @@ class SchedulingEngine:
     ) -> TimelineRecord:
         """Render one trace job as a timeline record."""
         event = job.event
-        active = (
-            job.workload.model_names if job.workload is not None else ()
-        )
-        outcome = job.outcome
-        if outcome is None:
-            return TimelineRecord(
-                index=index,
-                time_s=event.time_s,
-                kind=event.kind,
-                tenant_id=event.tenant_id,
-                model=event.model,
-                priority=event.priority,
-                active_models=tuple(active),
-                mode="idle",
-                board=self.board,
-            )
-        cost = outcome.decision.cost
-        return TimelineRecord(
+        record = TimelineRecord(
             index=index,
             time_s=event.time_s,
             kind=event.kind,
             tenant_id=event.tenant_id,
             model=event.model,
             priority=event.priority,
-            active_models=tuple(active),
+            active_models=(
+                tuple(job.workload.model_names) if job.workload is not None else ()
+            ),
+            mode="idle",
+            board=self.board,
+        )
+        outcome = job.outcome
+        if outcome is None:
+            return record
+        cost = outcome.decision.cost
+        return replace(
+            record,
             mode=outcome.mode,
             expected_score=outcome.expected_score,
             seed_reward=outcome.seed_reward,
@@ -1646,26 +1401,8 @@ class SchedulingEngine:
                 if record_mappings
                 else None
             ),
-            board=self.board,
             tier=tier,
         )
-
-    @staticmethod
-    def _advance(
-        job: _SearchJob,
-        rewards: Optional[List[float]] = None,
-        first: bool = False,
-    ) -> None:
-        """Step one search coroutine to its next yield (or completion)."""
-        try:
-            if first:
-                job.pending = next(job.gen)
-            else:
-                job.pending = job.gen.send(rewards)
-        except StopIteration as stop:
-            job.pending = None
-            job.result = stop.value
-            job.elapsed = time.perf_counter() - job.started  # repro: lint-ignore[RPR002] -- host measurement of trace-step latency
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -1709,73 +1446,6 @@ class SchedulingEngine:
         if quarantined:
             self._stats.cache_corruptions += quarantined
 
-    def _student_instance(self, estimator) -> DistilledEstimator:
-        """The distilled student, (re)built lazily from the teacher.
-
-        A stale student (the teacher's ``Module.version`` moved since
-        distillation — retraining, ``load_state_dict``, an embedding
-        swap) is re-distilled rather than consulted: its rankings
-        describe a network that no longer exists.
-        """
-        if self._student is None or self._student.is_stale(estimator):
-            self._student = distill_estimator(
-                estimator,
-                self._distill_groups(),
-                self._static_cost_model(),
-                self.fast_path,
-            )
-        return self._student
-
-    def _distill_groups(self) -> List[Tuple[Workload, List[Mapping]]]:
-        """Deterministic per-mix distillation groups, fresh generator.
-
-        A dedicated :class:`~repro.workloads.generator.WorkloadGenerator`
-        (seeded from the policy) keeps distillation from consuming the
-        shared generator's stream — sampling through the system's own
-        generator would shift every later seeded draw and change
-        decisions elsewhere.  Each group is one mix with several random
-        contiguous mappings: the student trains on *within-mix*
-        contrast, the only signal pruning ever uses (mix sizes cycle
-        1..5 so every workload width the front door serves is
-        represented).
-        """
-        base = (
-            self._builder.generator
-            if self._builder is not None
-            else self._system.generator
-        )
-        sampler = WorkloadGenerator(
-            model_names=base.model_names,
-            num_devices=base.num_devices,
-            max_total_weight_bytes=base.max_total_weight_bytes,
-            seed=self.fast_path.seed + 11,
-        )
-        rng = np.random.default_rng(self.fast_path.seed + 13)
-        groups: List[Tuple[Workload, List[Mapping]]] = []
-        for index in range(self.fast_path.mixes):
-            mix = sampler.sample_mix(1 + index % 5)
-            mappings = [
-                random_contiguous_mapping(
-                    mix.models, sampler.num_devices, rng
-                )
-                for _ in range(self.fast_path.mappings_per_mix)
-            ]
-            groups.append((mix, mappings))
-        return groups
-
-    def _fast_path_active(self) -> bool:
-        """Prune only on the healthy (full-estimator) tiers.
-
-        Degraded tiers are the exact-mode fallback: the interpreter
-        tier is already answering a fault, and the static/greedy tiers
-        never touch the estimator at all — a student trained against
-        it would be ranking for the wrong oracle.
-        """
-        return self.fast_path is not None and self._active_tier in (
-            "",
-            TIERS[0],
-        )
-
     @staticmethod
     def _normalize(
         request: Union[ScheduleRequest, Workload], **knobs
@@ -1792,6 +1462,31 @@ class SchedulingEngine:
         raise TypeError(
             f"expected ScheduleRequest or Workload, got {type(request).__name__}"
         )
+
+    @staticmethod
+    def _validate(
+        scheduler: Scheduler, requests: Sequence[ScheduleRequest]
+    ) -> None:
+        """Reject a batch naming a model the estimator cannot embed.
+
+        Runs before any job opens, so the caller can drop the
+        offending request and resubmit the rest at no lost work.
+        """
+        embedding = getattr(getattr(scheduler, "estimator", None), "embedding", None)
+        if embedding is None:
+            return
+        known = set(embedding.model_names)
+        for position, request in enumerate(requests):
+            unknown = [
+                name for name in request.workload.model_names if name not in known
+            ]
+            if unknown:
+                raise InvalidRequest(
+                    position,
+                    request,
+                    f"model(s) {', '.join(unknown)} not in the estimator's "
+                    f"embedding (known: {', '.join(embedding.model_names)})",
+                )
 
     def _cache_key(self, request: ScheduleRequest) -> Optional[CacheKey]:
         if not self.cache_decisions or request.objective is not None:
@@ -1814,7 +1509,7 @@ class SchedulingEngine:
             decision=decision,
             scheduler_name=self._scheduler_instance().name,
             cache_status="hit",
-            measured_wall_time_s=time.perf_counter() - started,  # repro: lint-ignore[RPR002] -- host measurement of cache-hit latency
+            measured_wall_time_s=_now() - started,
             request_id=request.request_id,
         )
 

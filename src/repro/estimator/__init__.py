@@ -1,6 +1,5 @@
 """Throughput estimator: embeddings, preprocessing, CNN and training."""
 
-from .distill import DistilledEstimator, FastPathPolicy, distill_estimator
 from .embedding import EmbeddingSpace
 from .model import EstimatorFault, ThroughputEstimator
 from .preprocessing import TargetTransform
@@ -13,16 +12,13 @@ from .training import (
 )
 
 __all__ = [
-    "DistilledEstimator",
     "EmbeddingSpace",
     "EstimatorDataset",
     "EstimatorFault",
     "EstimatorDatasetBuilder",
     "EstimatorTrainer",
-    "FastPathPolicy",
     "RankingReport",
     "TargetTransform",
-    "distill_estimator",
     "ranking_report",
     "spearman_rho",
     "top_k_regret",

@@ -55,7 +55,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.base import ScheduleRequest, ScheduleResponse
 from ..engine import SchedulingEngine, ServiceStats
-from ..estimator.distill import FastPathPolicy
 from ..evaluation.timeline import TimelineRecord, TimelineReport
 from ..online import OnlineConfig, OnlineScheduler
 from ..resilience import ResiliencePolicy, TraceJournal, trace_fingerprint
@@ -282,10 +281,6 @@ class FleetService:
         snapshots under ``<cache_dir>/<board name>/`` so a restarted
         fleet replays previously-decided mixes with zero estimator
         forwards.  ``None`` keeps the caches in-memory only.
-    fast_path:
-        Optional :class:`~repro.estimator.distill.FastPathPolicy`
-        arming the distilled pruning fast path on every board's
-        engine.
     """
 
     def __init__(
@@ -299,7 +294,6 @@ class FleetService:
         cache_shards: int = 4,
         cache_capacity: int = 128,
         cache_dir: Optional[str] = None,
-        fast_path: Optional["FastPathPolicy"] = None,
     ) -> None:
         if not isinstance(cluster, Cluster):
             raise TypeError(
@@ -311,7 +305,6 @@ class FleetService:
         self._cache_shards = cache_shards
         self._cache_capacity = cache_capacity
         self._cache_dir = cache_dir
-        self.fast_path = fast_path
         self.resilience = resilience
         self._engines: Dict[str, SchedulingEngine] = {}
         #: Live tenancy (run_trace): board -> tenant id -> (model, priority).
@@ -562,7 +555,6 @@ class FleetService:
                 if self._cache_dir is not None
                 else None
             ),
-            fast_path=self.fast_path,
         )
         self._tenants.setdefault(board.name, {})
         self.placer.update_order(self.cluster.board_names)

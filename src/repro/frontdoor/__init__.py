@@ -1,13 +1,11 @@
 """Throughput-first front door (PR 10).
 
-Three pieces, composable but independent:
+Two pieces, composable but independent:
 
 * :class:`~repro.frontdoor.ingress.AsyncFrontDoor` -- asyncio ingress
   pooling concurrent arrivals into count-based decision windows;
 * :class:`~repro.frontdoor.cache.ShardedDecisionCache` -- the engine's
-  bounded, sharded, restart-surviving decision cache;
-* the distilled fast path lives in :mod:`repro.estimator.distill`
-  (:class:`~repro.estimator.distill.FastPathPolicy`).
+  bounded, sharded, restart-surviving decision cache.
 
 See ``docs/performance.md`` ("The front door") and
 ``docs/architecture.md`` section 17.

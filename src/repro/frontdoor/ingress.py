@@ -23,7 +23,10 @@ requests dedupe through the decision cache together and their MCTS
 searches pool leaf evaluations into shared estimator batches.  At
 ``window_size=1`` every request flushes alone and the front door is
 byte-identical to calling ``schedule_many`` directly -- the identity
-contract pinned in ``tests/test_frontdoor.py``.
+contract pinned in ``tests/test_frontdoor.py``.  A request the service
+rejects as :class:`~repro.core.base.InvalidRequest` fails alone: its
+window is re-flushed without it, so its neighbours get the decisions
+a window that never held it would have produced.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.base import ScheduleRequest
+from ..core.base import InvalidRequest, ScheduleRequest
 
 __all__ = ["AsyncFrontDoor", "FrontDoorStats"]
 
@@ -141,18 +144,33 @@ class AsyncFrontDoor:
         self._generation += 1
         if not batch:
             return
-        requests = [request for request, _future in batch]
-        self.stats.record(len(requests), reason)
-        try:
-            responses = self.service.schedule_many(requests)
-        except BaseException as error:
-            for _request, future in batch:
+        self.stats.record(len(batch), reason)
+        while batch:
+            requests = [request for request, _future in batch]
+            try:
+                responses = self.service.schedule_many(requests)
+            except InvalidRequest as error:
+                position = error.position
+                if position < len(batch) and requests[position] is error.request:
+                    # Rejected before any search started: fail only
+                    # that request and re-flush the rest of the window.
+                    self._fail([batch.pop(position)], error)
+                    continue
+                self._fail(batch, error)
+                return
+            except BaseException as error:
+                self._fail(batch, error)
+                return
+            for (_request, future), response in zip(batch, responses):
                 if not future.done():
-                    future.set_exception(error)
+                    future.set_result(response)
             return
-        for (_request, future), response in zip(batch, responses):
+
+    @staticmethod
+    def _fail(entries, error: BaseException) -> None:
+        for _request, future in entries:
             if not future.done():
-                future.set_result(response)
+                future.set_exception(error)
 
     # ------------------------------------------------------------------
     async def drain(self) -> None:

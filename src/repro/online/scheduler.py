@@ -55,6 +55,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.base import ScheduleDecision
+from ..core.mcts import relay_steps
 from ..core.scheduler import OmniBoostScheduler
 from ..sim.mapping import Mapping
 from ..workloads.mix import Workload
@@ -381,7 +382,7 @@ class OnlineScheduler:
                 workload, config=replace(scheduler.config, budget=budget)
             )
             try:
-                result = yield from self._relay(
+                result = yield from relay_steps(
                     workload,
                     search.search_steps(
                         initial_mapping=seed,
@@ -397,7 +398,7 @@ class OnlineScheduler:
             search = scheduler.make_search(
                 workload, config=replace(scheduler.config, budget=budget)
             )
-            result = yield from self._relay(workload, search.search_steps())
+            result = yield from relay_steps(workload, search.search_steps())
 
         seeding_evals = completion_evals + refinement_evals
         decision = scheduler.decision_from_result(
@@ -456,17 +457,6 @@ class OnlineScheduler:
                 if candidate.max_stages <= stage_cap:
                     candidates.append(candidate)
         return candidates
-
-    @staticmethod
-    def _relay(workload: Workload, steps):
-        """Adapt ``search_steps`` yields to the (workload, mappings) protocol."""
-        try:
-            batch = next(steps)
-            while True:
-                rewards = yield (workload, list(batch))
-                batch = steps.send(rewards)
-        except StopIteration as stop:
-            return stop.value
 
     def commit(self, outcome: OnlineDecision) -> None:
         """Retain a decision's rows as the next event's warm-start material."""

@@ -55,11 +55,12 @@ PR 10 the cache is a bounded :class:`~repro.frontdoor.ShardedDecisionCache`
 knobs, evictions counted in :class:`~repro.engine.ServiceStats`) and
 can persist across restarts via ``cache_dir`` — snapshots are keyed
 on the estimator version, so retrained weights invalidate them
-automatically.  Pass ``fast_path=FastPathPolicy()`` to enable the
-distilled fast-path student, and front the service with
+automatically.  Front the service with
 :class:`~repro.frontdoor.AsyncFrontDoor` to pool asynchronous
 arrivals into count-based decision windows (see
-``docs/performance.md``).
+``docs/performance.md``).  A batch naming a model the estimator
+cannot embed raises :class:`~repro.core.base.InvalidRequest` before
+any search starts.
 
 Online serving in four lines::
 

@@ -4,7 +4,8 @@ The docs CI job runs this module (plus the examples-importable canary)
 so README/docs drift is caught the same way API drift is: every
 ``python`` fence must be syntactically valid, fences must be balanced
 and language-tagged, and `file:line` anchors in the architecture doc
-must point inside real files.
+must point inside real files -- at a line that names the symbol when
+the anchor is written `` `Name` (`path:N`) ``.
 """
 
 import ast
@@ -65,6 +66,11 @@ def test_fences_are_tagged_and_parse(path):
 ANCHOR_RE = re.compile(r"`((?:src|tests|benchmarks|examples|docs)/[\w./]+):(\d+)`")
 PATH_RE = re.compile(r"`((?:src|tests|benchmarks|examples|docs)/[\w./]+\.(?:py|md))`")
 LINK_RE = re.compile(r"\[[^\]]+\]\((?!https?://)([^)#]+)\)")
+#: `` `Name` (`path:N`) `` -- also `Owner.name`, `name()`, `name(arg=...)`.
+NAMED_ANCHOR_RE = re.compile(
+    r"`([A-Za-z_][\w.]*)(?:\([^`]*\))?`\s+"
+    r"\(`((?:src|tests|benchmarks|examples|docs)/[\w./]+):(\d+)`"
+)
 
 
 @pytest.mark.parametrize(
@@ -78,6 +84,12 @@ def test_file_line_anchors_resolve(path):
         total = len(file.read_text().splitlines())
         assert int(line) <= total, (
             f"{path.name}: anchor {target}:{line} is past end of file ({total})"
+        )
+    for name, target, line in NAMED_ANCHOR_RE.findall(text):
+        anchored = (ROOT / target).read_text().splitlines()[int(line) - 1]
+        assert name.rsplit(".", 1)[-1] in anchored, (
+            f"{path.name}: `{name}` anchor {target}:{line} lands on "
+            f"{anchored.strip()!r}"
         )
 
 

@@ -8,21 +8,25 @@ The acceptance bar for PR 10's ingestion layer:
   snapshots keyed on the estimator's weight state — a retrained or
   re-loaded estimator invalidates every persisted entry, and a corrupt
   snapshot is quarantined, never served;
-* :class:`AsyncFrontDoor` at ``window_size=1`` (and with the fast path
-  off) is byte-identical to calling ``schedule_many`` directly — the
-  identity contract — while larger windows pool concurrent arrivals
-  into exactly ``ceil(n / window_size)`` full flushes;
+* :class:`AsyncFrontDoor` at ``window_size=1`` is byte-identical to
+  calling ``schedule_many`` directly — the identity contract — while
+  larger windows pool concurrent arrivals into exactly
+  ``ceil(n / window_size)`` full flushes;
+* a request the estimator cannot embed fails alone with a typed
+  :class:`~repro.core.InvalidRequest`; its window-mates get the
+  decisions of a window that never held it;
 * a service restarted against the same ``cache_dir`` replays
   previously-decided mixes with **zero** estimator queries.
 """
 
+import asyncio
 import json
 
 import numpy as np
 import pytest
 
 from repro.builder import SystemBuilder
-from repro.core import MCTSConfig, ScheduleRequest
+from repro.core import InvalidRequest, MCTSConfig, ScheduleRequest
 from repro.core.base import ScheduleDecision
 from repro.frontdoor import (
     AsyncFrontDoor,
@@ -262,6 +266,44 @@ class TestAsyncFrontDoor:
         # MIX_NAMES holds one exact and two permuted repeats.
         assert stats.cache_hits == 2
         assert stats.cache_misses == 4
+
+    def test_unembeddable_request_fails_alone(self):
+        """``resnet18`` is in the zoo but not in the estimator's
+        embedding: only its future fails, and the other two requests
+        get the mappings of a window that never held it."""
+        valid = _requests()[:2]
+        bad = ScheduleRequest(
+            workload=Workload.from_names(["resnet18", "alexnet"]),
+            request_id="bad",
+        )
+        expected = _make_service().schedule_many(valid)
+        front = AsyncFrontDoor(_make_service(), window_size=3)
+
+        async def run():
+            return await asyncio.gather(
+                *(front.submit(r) for r in (valid[0], bad, valid[1])),
+                return_exceptions=True,
+            )
+
+        first, error, second = asyncio.run(run())
+        assert isinstance(error, InvalidRequest)
+        assert error.position == 1 and error.request is bad
+        assert "resnet18" in error.reason
+        for got, want in zip((first, second), expected):
+            assert got.mapping == want.mapping
+            assert got.expected_score == want.expected_score
+        assert front.stats.windows == 1
+
+    def test_invalid_request_rejected_before_any_search(self):
+        service = _make_service()
+        bad = ScheduleRequest(workload=Workload.from_names(["resnet18"]))
+        with pytest.raises(InvalidRequest) as raised:
+            service.schedule_many(_requests()[:2] + [bad])
+        assert raised.value.position == 2
+        stats = service.stats()
+        assert stats.requests_served == 0
+        assert stats.cache_misses == 0
+        assert stats.pooled_eval_batches == 0
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
