@@ -294,6 +294,111 @@ class TestAsyncFrontDoor:
             assert got.expected_score == want.expected_score
         assert front.stats.windows == 1
 
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_unembeddable_request_fails_alone_at_window_edges(self, position):
+        valid = _requests()[:2]
+        bad = ScheduleRequest(
+            workload=Workload.from_names(["resnet18"]), request_id="bad"
+        )
+        window = list(valid)
+        window.insert(position, bad)
+        expected = _make_service().schedule_many(valid)
+        front = AsyncFrontDoor(_make_service(), window_size=3)
+
+        async def run():
+            return await asyncio.gather(
+                *(front.submit(r) for r in window), return_exceptions=True
+            )
+
+        results = asyncio.run(run())
+        error = results.pop(position)
+        assert isinstance(error, InvalidRequest)
+        assert error.request is bad and error.position == position
+        for got, want in zip(results, expected):
+            assert got.mapping == want.mapping
+            assert got.expected_score == want.expected_score
+
+    def test_every_unembeddable_request_in_a_window_fails(self):
+        """Two bad requests: each fails with its own error, and the one
+        valid request is answered as if it had been alone."""
+        valid = _requests()[0]
+        first = ScheduleRequest(
+            workload=Workload.from_names(["densenet121"]), request_id="first"
+        )
+        second = ScheduleRequest(
+            workload=Workload.from_names(["resnet18"]), request_id="second"
+        )
+        expected = _make_service().schedule_many([valid])[0]
+        service = _make_service()
+        front = AsyncFrontDoor(service, window_size=3)
+
+        async def run():
+            return await asyncio.gather(
+                *(front.submit(r) for r in (first, valid, second)),
+                return_exceptions=True,
+            )
+
+        first_error, got, second_error = asyncio.run(run())
+        assert first_error.request is first and "densenet121" in first_error.reason
+        assert second_error.request is second and "resnet18" in second_error.reason
+        assert got.mapping == expected.mapping
+        assert service.stats().requests_served == 1
+        assert front.stats.windows == 1
+
+    def test_all_unembeddable_window_runs_no_search(self):
+        service = _make_service()
+        front = AsyncFrontDoor(service, window_size=2)
+        bad = [
+            ScheduleRequest(workload=Workload.from_names([name]), request_id=name)
+            for name in ("resnet18", "efficientnet_b0")
+        ]
+
+        async def run():
+            return await asyncio.gather(
+                *(front.submit(r) for r in bad), return_exceptions=True
+            )
+
+        errors = asyncio.run(run())
+        assert [error.request for error in errors] == bad
+        assert all(isinstance(error, InvalidRequest) for error in errors)
+        stats = service.stats()
+        assert stats.requests_served == 0
+        assert stats.pooled_eval_batches == 0
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            RuntimeError("search died"),
+            # Names a request that is not the window's own entry at
+            # that position, so it cannot be failed alone.
+            InvalidRequest(
+                0,
+                ScheduleRequest(workload=Workload.from_names(["alexnet"])),
+                "foreign",
+            ),
+        ],
+        ids=["other-error", "foreign-invalid-request"],
+    )
+    def test_other_failures_fail_the_whole_window(self, error):
+        class Failing:
+            calls = 0
+
+            def schedule_many(self, requests):
+                Failing.calls += 1
+                raise error
+
+        front = AsyncFrontDoor(Failing(), window_size=2)
+
+        async def run():
+            return await asyncio.gather(
+                *(front.submit(r) for r in _requests()[:2]),
+                return_exceptions=True,
+            )
+
+        results = asyncio.run(run())
+        assert results == [error, error]
+        assert Failing.calls == 1
+
     def test_invalid_request_rejected_before_any_search(self):
         service = _make_service()
         bad = ScheduleRequest(workload=Workload.from_names(["resnet18"]))
